@@ -421,6 +421,58 @@ func BenchmarkMapReduceStatsJob(b *testing.B) {
 	}
 }
 
+// BenchmarkStatsJobFeed runs the statistics job over the history trafficd
+// bootstraps from the 10-minute Table 2 feed (911 buses, 20 s period): the
+// batch layer's share of worker set-up, tracked without the end-to-end
+// bench. Run with -benchmem.
+func BenchmarkStatsJobFeed(b *testing.B) {
+	gen, err := busdata.NewGenerator(busdata.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	traces := gen.Generate(10 * time.Minute)
+	var seeds []geo.Point
+	for i := 0; i < len(traces); i += len(traces)/512 + 1 {
+		seeds = append(seeds, traces[i].Pos)
+	}
+	tree, err := quadtree.Build(geo.Dublin, seeds, quadtree.Options{MaxPoints: 8, MaxDepth: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs := dfs.New(dfs.Options{})
+	pre := busdata.NewPreprocessor()
+	for _, tr := range traces {
+		e := pre.Process(tr)
+		var areas []string
+		for _, n := range tree.Path(tr.Pos) {
+			areas = append(areas, string(n.ID))
+		}
+		rec := core.HistoryRecord{
+			Hour: tr.Hour(), Day: busdata.DayTypeOf(tr.Timestamp),
+			StopID: tr.BusStop, Areas: areas,
+			Delay: tr.Delay, ActualDelay: e.ActualDelay, Speed: e.SpeedKmh,
+			Congestion: tr.Congestion,
+		}
+		if err := fs.AppendLine("history/traces", rec.MarshalLine()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	var rows int
+	for i := 0; i < b.N; i++ {
+		out, _, err := core.RunStatsJob(core.StatsJobConfig{
+			FS: fs, InputPaths: []string{"history/traces"},
+			OutputPath: fmt.Sprintf("out/feed%d", i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = len(out)
+	}
+	b.ReportMetric(float64(len(traces)), "traces")
+	b.ReportMetric(float64(rows), "rows")
+}
+
 func BenchmarkStormPipelineThroughput(b *testing.B) {
 	// A 4-stage pipeline shuffling b.N tuples end to end.
 	rt, err := benchPipeline(b.N)
@@ -435,8 +487,8 @@ func BenchmarkStormPipelineThroughput(b *testing.B) {
 
 // BenchmarkStormPipelineTelemetry measures the telemetry tax on the same
 // pipeline: tuple tracing + per-hop/end-to-end histograms enabled vs.
-// disabled. The acceptance bar for the unified telemetry subsystem is a
-// ≤ 5% throughput regression when enabled.
+// disabled. The recorded on/off ratio is telemetry_on_over_off_batch64 in
+// BENCH_storm.json (scripts/bench_storm.sh).
 func BenchmarkStormPipelineTelemetry(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -742,23 +794,23 @@ func BenchmarkMapReduceWordCount(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	cfg := mapreduce.Config{
+	cfg := mapreduce.Config[int]{
 		FS: fs, InputPaths: []string{"in/doc"},
-		Mapper: func(_ int64, line string, emit func(k, v string)) error {
+		Map: func(_ int64, line string, emit func(string, int)) error {
 			start := 0
 			for i := 0; i <= len(line); i++ {
 				if i == len(line) || line[i] == ' ' {
 					if i > start {
-						emit(line[start:i], "1")
+						emit(line[start:i], 1)
 					}
 					start = i + 1
 				}
 			}
 			return nil
 		},
-		Reducer: func(key string, values []string, emit func(k, v string)) error {
-			emit(key, fmt.Sprint(len(values)))
-			return nil
+		Combine: func(a, b int) int { return a + b },
+		Reduce: func(dst []byte, _ string, n int) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(n), 10), nil
 		},
 		NumReducers: 4,
 	}

@@ -11,7 +11,8 @@
 //     bolts, tasks/executors, groupings, XML topologies, 40 s monitoring);
 //   - internal/epl + internal/cep — an Esper-like CEP engine with an EPL
 //     subset (views, windows, joins, aggregates, listeners);
-//   - internal/mapreduce + internal/dfs — a Hadoop/HDFS-like batch layer;
+//   - internal/mapreduce + internal/dfs — a Hadoop/HDFS-like batch layer
+//     (map → associative combine → reduce over a typed shuffle);
 //   - internal/sqlstore — the MySQL-like storage medium with a small SQL
 //     SELECT evaluator;
 //   - internal/quadtree, internal/denclue, internal/geo, internal/busdata —

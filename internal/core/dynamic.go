@@ -86,66 +86,76 @@ func ParseHistoryLine(line string) (HistoryRecord, error) {
 
 const statsKeySep = "\x1f"
 
+// moments is the statistics job's intermediate value: the count, mean and
+// sum of squared deviations from the mean (M2) of a set of values.
+type moments struct {
+	n    int64
+	mean float64
+	m2   float64
+}
+
+// mergeMoments combines the moments of two disjoint sets with Chan et al.'s
+// parallel update (Welford's update when b is one value). Unlike
+// accumulating Σx and Σx², it does not cancel catastrophically when the
+// spread is small next to the mean.
+func mergeMoments(a, b moments) moments {
+	n := a.n + b.n
+	if n == 0 {
+		return moments{}
+	}
+	d := b.mean - a.mean
+	fb := float64(b.n) / float64(n)
+	return moments{n: n, mean: a.mean + d*fb, m2: a.m2 + b.m2 + d*d*float64(a.n)*fb}
+}
+
 // statsMapper emits (attribute, location, hour, day) → value for every
 // monitorable attribute and every spatial granularity of the record: the
 // bus stop and each quadtree area on the record's path.
-func statsMapper(_ int64, line string, emit func(k, v string)) error {
+func statsMapper(_ int64, line string, emit func(string, moments)) error {
 	rec, err := ParseHistoryLine(line)
 	if err != nil {
 		return err
 	}
-	locations := make([]string, 0, len(rec.Areas)+1)
-	if rec.StopID != "" {
-		locations = append(locations, rec.StopID)
-	}
-	locations = append(locations, rec.Areas...)
-	values := map[string]float64{
-		busdata.AttrDelay:       rec.Delay,
-		busdata.AttrActualDelay: rec.ActualDelay,
-		busdata.AttrSpeed:       rec.Speed,
-		busdata.AttrCongestion:  0,
-	}
+	congestion := 0.0
 	if rec.Congestion {
-		values[busdata.AttrCongestion] = 1
+		congestion = 1
 	}
-	for _, attr := range busdata.Attributes {
-		v := strconv.FormatFloat(values[attr], 'g', -1, 64)
-		for _, loc := range locations {
-			key := strings.Join([]string{attr, loc, strconv.Itoa(rec.Hour), rec.Day.String()}, statsKeySep)
-			emit(key, v)
+	values := [...]struct {
+		attr string
+		v    float64
+	}{
+		{busdata.AttrDelay, rec.Delay}, {busdata.AttrActualDelay, rec.ActualDelay},
+		{busdata.AttrSpeed, rec.Speed}, {busdata.AttrCongestion, congestion},
+	}
+	suffix := statsKeySep + strconv.Itoa(rec.Hour) + statsKeySep + rec.Day.String()
+	emitAt := func(loc string) {
+		locKey := statsKeySep + loc + suffix
+		for _, a := range values {
+			emit(a.attr+locKey, moments{n: 1, mean: a.v})
 		}
+	}
+	if rec.StopID != "" {
+		emitAt(rec.StopID)
+	}
+	for _, area := range rec.Areas {
+		emitAt(area)
 	}
 	return nil
 }
 
-// statsReducer computes mean and sample standard deviation per key
+// statsReducer renders a key's mean, sample standard deviation and count
 // (§4.1.3: "The reducers aggregate the parameters' values for the different
 // spatial locations and then compute the mean and the standard deviation").
-func statsReducer(key string, values []string, emit func(k, v string)) error {
-	var n int
-	var sum, sumSq float64
-	for _, s := range values {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("core: bad stat value %q for key %q: %w", s, key, err)
-		}
-		n++
-		sum += v
-		sumSq += v * v
-	}
-	if n == 0 {
-		return nil
-	}
-	mean := sum / float64(n)
+func statsReducer(dst []byte, _ string, m moments) ([]byte, error) {
 	stdv := 0.0
-	if n > 1 {
-		variance := (sumSq - float64(n)*mean*mean) / float64(n-1)
-		if variance > 0 {
-			stdv = math.Sqrt(variance)
-		}
+	if m.n > 1 && m.m2 > 0 {
+		stdv = math.Sqrt(m.m2 / float64(m.n-1))
 	}
-	emit(key, fmt.Sprintf("%g,%g,%d", mean, stdv, n))
-	return nil
+	dst = strconv.AppendFloat(dst, m.mean, 'g', -1, 64)
+	dst = append(dst, ',')
+	dst = strconv.AppendFloat(dst, stdv, 'g', -1, 64)
+	dst = append(dst, ',')
+	return strconv.AppendInt(dst, m.n, 10), nil
 }
 
 // StatsJobConfig configures one statistics batch run.
@@ -167,13 +177,14 @@ func RunStatsJob(cfg StatsJobConfig) ([]sqlstore.StatRow, *mapreduce.Result, err
 	if cfg.NumReducers <= 0 {
 		cfg.NumReducers = 4
 	}
-	res, err := mapreduce.Run(mapreduce.Config{
+	res, err := mapreduce.Run(mapreduce.Config[moments]{
 		Name:        "traffic-statistics",
 		FS:          cfg.FS,
 		InputPaths:  cfg.InputPaths,
 		OutputPath:  cfg.OutputPath,
-		Mapper:      statsMapper,
-		Reducer:     statsReducer,
+		Map:         statsMapper,
+		Combine:     mergeMoments,
+		Reduce:      statsReducer,
 		NumReducers: cfg.NumReducers,
 		Telemetry:   cfg.Telemetry,
 	})
@@ -302,12 +313,17 @@ func (m *DynamicManager) RunOnce() (int, error) {
 	out := fmt.Sprintf("batch/stats-run%d", m.runs)
 	m.mu.Unlock()
 
-	rows, _, err := RunStatsJob(StatsJobConfig{
+	rows, res, err := RunStatsJob(StatsJobConfig{
 		FS: m.FS, InputPaths: inputs, OutputPath: out, NumReducers: m.NumReducers,
 		Telemetry: m.Telemetry,
 	})
 	if err != nil {
 		return 0, err
+	}
+	// The rows are read back: drop the run's part files so periodic runs
+	// do not grow the file system without bound.
+	for _, part := range res.PartFiles {
+		m.FS.Delete(part)
 	}
 	m.statRows.Add(uint64(len(rows)))
 	if err := m.Store.Put(rows); err != nil {

@@ -9,24 +9,25 @@ import (
 	"trafficcep/internal/mapreduce"
 )
 
-// Example runs the canonical word count: map emits (word, 1), reduce sums.
+// Example runs the canonical word count: map emits (word, 1), combine sums
+// on the map side and the reduce side, reduce renders the count.
 func Example() {
 	fs := dfs.New(dfs.Options{})
 	_ = fs.AppendLine("in/doc", "to be or not to be")
-	res, err := mapreduce.Run(mapreduce.Config{
+	res, err := mapreduce.Run(mapreduce.Config[int]{
 		Name:       "wordcount",
 		FS:         fs,
 		InputPaths: []string{"in/doc"},
 		OutputPath: "out/wc",
-		Mapper: func(_ int64, line string, emit func(k, v string)) error {
+		Map: func(_ int64, line string, emit func(string, int)) error {
 			for _, w := range strings.Fields(line) {
-				emit(w, "1")
+				emit(w, 1)
 			}
 			return nil
 		},
-		Reducer: func(key string, values []string, emit func(k, v string)) error {
-			emit(key, strconv.Itoa(len(values)))
-			return nil
+		Combine: func(a, b int) int { return a + b },
+		Reduce: func(dst []byte, _ string, n int) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(n), 10), nil
 		},
 	})
 	if err != nil {

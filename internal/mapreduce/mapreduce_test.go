@@ -10,23 +10,27 @@ import (
 	"trafficcep/internal/dfs"
 )
 
+func sum(a, b int) int { return a + b }
+
+func appendInt(dst []byte, _ string, v int) ([]byte, error) {
+	return strconv.AppendInt(dst, int64(v), 10), nil
+}
+
 // wordCount is the canonical MapReduce example.
-func wordCountConfig(fs *dfs.FS, inputs []string) Config {
-	return Config{
+func wordCountConfig(fs *dfs.FS, inputs []string) Config[int] {
+	return Config[int]{
 		Name:       "wordcount",
 		FS:         fs,
 		InputPaths: inputs,
 		OutputPath: "out/wc",
-		Mapper: func(_ int64, line string, emit func(k, v string)) error {
+		Map: func(_ int64, line string, emit func(string, int)) error {
 			for _, w := range strings.Fields(line) {
-				emit(w, "1")
+				emit(w, 1)
 			}
 			return nil
 		},
-		Reducer: func(key string, values []string, emit func(k, v string)) error {
-			emit(key, strconv.Itoa(len(values)))
-			return nil
-		},
+		Combine:     sum,
+		Reduce:      appendInt,
 		NumReducers: 3,
 	}
 }
@@ -127,28 +131,22 @@ func TestPartitioningGroupsAllValuesOfAKey(t *testing.T) {
 		}
 		total[k] += i
 	}
-	cfg := Config{
+	cfg := Config[int]{
 		Name:       "sum",
 		FS:         fs,
 		InputPaths: []string{"in/nums"},
 		OutputPath: "out/sum",
-		Mapper: func(_ int64, line string, emit func(k, v string)) error {
+		Map: func(_ int64, line string, emit func(string, int)) error {
 			parts := strings.Fields(line)
-			emit(parts[0], parts[1])
-			return nil
-		},
-		Reducer: func(key string, values []string, emit func(k, v string)) error {
-			s := 0
-			for _, v := range values {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return err
-				}
-				s += n
+			n, err := strconv.Atoi(parts[1])
+			if err != nil {
+				return err
 			}
-			emit(key, strconv.Itoa(s))
+			emit(parts[0], n)
 			return nil
 		},
+		Combine:     sum,
+		Reduce:      appendInt,
 		NumReducers: 4,
 	}
 	if _, err := Run(cfg); err != nil {
@@ -173,19 +171,17 @@ func TestReducerOutputSortedWithinPartition(t *testing.T) {
 	for _, k := range []string{"c", "a", "b", "a", "c"} {
 		_ = fs.AppendLine("in/k", k)
 	}
-	cfg := Config{
+	cfg := Config[int]{
 		Name:       "ident",
 		FS:         fs,
 		InputPaths: []string{"in/k"},
 		OutputPath: "out/ident",
-		Mapper: func(_ int64, line string, emit func(k, v string)) error {
-			emit(line, "1")
+		Map: func(_ int64, line string, emit func(string, int)) error {
+			emit(line, 1)
 			return nil
 		},
-		Reducer: func(key string, values []string, emit func(k, v string)) error {
-			emit(key, strconv.Itoa(len(values)))
-			return nil
-		},
+		Combine:     sum,
+		Reduce:      appendInt,
 		NumReducers: 1,
 	}
 	if _, err := Run(cfg); err != nil {
@@ -207,15 +203,15 @@ func TestReducerOutputSortedWithinPartition(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	fs := dfs.New(dfs.Options{})
 	_ = fs.AppendLine("in", "x")
-	m := func(_ int64, _ string, _ func(k, v string)) error { return nil }
-	r := func(_ string, _ []string, _ func(k, v string)) error { return nil }
-	cases := []Config{
-		{FS: nil, InputPaths: []string{"in"}, OutputPath: "o", Mapper: m, Reducer: r},
-		{FS: fs, InputPaths: nil, OutputPath: "o", Mapper: m, Reducer: r},
-		{FS: fs, InputPaths: []string{"in"}, OutputPath: "", Mapper: m, Reducer: r},
-		{FS: fs, InputPaths: []string{"in"}, OutputPath: "o", Mapper: nil, Reducer: r},
-		{FS: fs, InputPaths: []string{"in"}, OutputPath: "o", Mapper: m, Reducer: nil},
-		{FS: fs, InputPaths: []string{"missing"}, OutputPath: "o", Mapper: m, Reducer: r},
+	m := func(_ int64, _ string, _ func(string, int)) error { return nil }
+	cases := []Config[int]{
+		{FS: nil, InputPaths: []string{"in"}, OutputPath: "o", Map: m, Combine: sum, Reduce: appendInt},
+		{FS: fs, InputPaths: nil, OutputPath: "o", Map: m, Combine: sum, Reduce: appendInt},
+		{FS: fs, InputPaths: []string{"in"}, OutputPath: "", Map: m, Combine: sum, Reduce: appendInt},
+		{FS: fs, InputPaths: []string{"in"}, OutputPath: "o", Map: nil, Combine: sum, Reduce: appendInt},
+		{FS: fs, InputPaths: []string{"in"}, OutputPath: "o", Map: m, Combine: nil, Reduce: appendInt},
+		{FS: fs, InputPaths: []string{"in"}, OutputPath: "o", Map: m, Combine: sum, Reduce: nil},
+		{FS: fs, InputPaths: []string{"missing"}, OutputPath: "o", Map: m, Combine: sum, Reduce: appendInt},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); err == nil {
@@ -227,12 +223,13 @@ func TestConfigValidation(t *testing.T) {
 func TestMapperErrorPropagates(t *testing.T) {
 	fs := dfs.New(dfs.Options{})
 	_ = fs.AppendLine("in", "boom")
-	cfg := Config{
+	cfg := Config[int]{
 		FS: fs, InputPaths: []string{"in"}, OutputPath: "o",
-		Mapper: func(_ int64, _ string, _ func(k, v string)) error {
+		Map: func(_ int64, _ string, _ func(string, int)) error {
 			return fmt.Errorf("mapper exploded")
 		},
-		Reducer: func(_ string, _ []string, _ func(k, v string)) error { return nil },
+		Combine: sum,
+		Reduce:  appendInt,
 	}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "mapper exploded") {
 		t.Fatalf("err = %v", err)
@@ -242,14 +239,15 @@ func TestMapperErrorPropagates(t *testing.T) {
 func TestReducerErrorPropagates(t *testing.T) {
 	fs := dfs.New(dfs.Options{})
 	_ = fs.AppendLine("in", "x")
-	cfg := Config{
+	cfg := Config[int]{
 		FS: fs, InputPaths: []string{"in"}, OutputPath: "o",
-		Mapper: func(_ int64, line string, emit func(k, v string)) error {
-			emit(line, "1")
+		Map: func(_ int64, line string, emit func(string, int)) error {
+			emit(line, 1)
 			return nil
 		},
-		Reducer: func(_ string, _ []string, _ func(k, v string)) error {
-			return fmt.Errorf("reducer exploded")
+		Combine: sum,
+		Reduce: func(dst []byte, _ string, _ int) ([]byte, error) {
+			return dst, fmt.Errorf("reducer exploded")
 		},
 	}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "reducer exploded") {
@@ -314,5 +312,57 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("output %d differs: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestCombineFoldsInInputOrder uses an associative but non-commutative
+// combine (concatenation): across many chunks and parallel tasks, each
+// key's value must still come out in input order, because every task
+// combines its own lines in order and the reducers merge tasks by index.
+func TestCombineFoldsInInputOrder(t *testing.T) {
+	fs := dfs.New(dfs.Options{ChunkSize: 64})
+	want := map[string]string{}
+	for i := 0; i < 300; i++ {
+		k := fmt.Sprintf("k%d", i%5)
+		if err := fs.AppendLine("in/seq", k+" "+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+		want[k] += strconv.Itoa(i) + ";"
+	}
+	cfg := Config[string]{
+		FS: fs, InputPaths: []string{"in/seq"}, OutputPath: "out/seq",
+		Map: func(_ int64, line string, emit func(string, string)) error {
+			k, v, _ := strings.Cut(line, " ")
+			emit(k, v+";")
+			return nil
+		},
+		Combine: func(a, b string) string { return a + b },
+		Reduce: func(dst []byte, _ string, v string) ([]byte, error) {
+			return append(dst, v...), nil
+		},
+		NumReducers: 3,
+		Parallelism: 8,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.MapTasks < 10 {
+		t.Fatalf("map tasks = %d, want many", res.Counters.MapTasks)
+	}
+	if res.Counters.MapOutputs != 300 || res.Counters.ReduceGroups != 5 || res.Counters.Outputs != 5 {
+		t.Fatalf("counters = %+v", res.Counters)
+	}
+	out, err := ReadOutput(fs, "out/seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range out {
+		if kv.Value != want[kv.Key] {
+			t.Fatalf("%s = %q, want %q", kv.Key, kv.Value, want[kv.Key])
+		}
+	}
+	if len(out) != len(want) {
+		t.Fatalf("keys = %d, want %d", len(out), len(want))
 	}
 }

@@ -273,6 +273,12 @@ type runningComponent struct {
 	// producers counts upstream executors still running; when it reaches
 	// zero the component's input channels are closed.
 	producers atomic.Int32
+	// inMu orders fence sends (fenceLocalExecs) against that close without
+	// being held across a send: a close that finds fences in flight is
+	// left to the last of them, so no send can meet a closed channel.
+	inMu     sync.Mutex
+	inFences int  // fence sends in flight
+	inDone   bool // producers reached zero: no fence send may start
 
 	// Fault accounting, published by the monitor as
 	// storm.<comp>.{panics,replays,acked,dropped,quarantined,missing_field}.
@@ -677,11 +683,24 @@ func (r *Runtime) execDone(ex *executor) {
 	}
 	for target, n := range seen {
 		if target.producers.Add(-int32(n)) == 0 {
-			for _, tex := range target.execs {
-				if r.localExec(tex) {
-					close(tex.in)
-				}
-			}
+			target.inMu.Lock()
+			target.inDone = true
+			r.closeInputsLocked(target)
+			target.inMu.Unlock()
+		}
+	}
+}
+
+// closeInputsLocked closes a component's local input channels once its
+// producers are done and no fence send is in flight; that happens exactly
+// once, since no fence send starts after inDone. rc.inMu is held.
+func (r *Runtime) closeInputsLocked(rc *runningComponent) {
+	if !rc.inDone || rc.inFences > 0 {
+		return
+	}
+	for _, ex := range rc.execs {
+		if r.localExec(ex) {
+			close(ex.in)
 		}
 	}
 }

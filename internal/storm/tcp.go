@@ -104,6 +104,10 @@ type tcpPeer struct {
 	qBytes  int
 	closing bool
 
+	// inflight is the number of frames in the writer's current writev, 0
+	// while it waits for work: nonzero for as long as a write blocks.
+	inflight atomic.Int32
+
 	writerDone chan struct{}
 }
 
@@ -188,7 +192,10 @@ func (p *tcpPeer) writeLoop() {
 			for i := range frames {
 				bufs = append(bufs, frames[i].buf.b)
 			}
-			if _, err := bufs.WriteTo(p.conn); err != nil {
+			p.inflight.Store(int32(len(frames)))
+			_, err := bufs.WriteTo(p.conn)
+			p.inflight.Store(0)
+			if err != nil {
 				// Fail the whole take: a writev error loses the tail and may
 				// duplicate an already-written prefix on replay — at-least-once,
 				// exactly like a partial conn.Write before.
@@ -939,6 +946,16 @@ func (r *Runtime) fenceLocalExecs(component string, done func()) {
 		done()
 		return
 	}
+	rc.inMu.Lock()
+	if rc.inDone {
+		// Every producer has exited: no envelope can reach the component
+		// after this call, so there is nothing for a fence to overtake.
+		rc.inMu.Unlock()
+		done()
+		return
+	}
+	rc.inFences++
+	rc.inMu.Unlock()
 	fw := &fenceWait{fn: done}
 	fw.n.Store(int32(len(locals)))
 	for _, ex := range locals {
@@ -946,6 +963,10 @@ func (r *Runtime) fenceLocalExecs(component string, done func()) {
 		fb.fence = fw
 		ex.deliver(fb)
 	}
+	rc.inMu.Lock()
+	rc.inFences--
+	r.closeInputsLocked(rc)
+	rc.inMu.Unlock()
 }
 
 // DrainComponent flushes a routing change through the data plane: it

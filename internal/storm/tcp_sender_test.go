@@ -193,22 +193,18 @@ func TestDistributedSenderPeerLossFailsQueuedAnchors(t *testing.T) {
 	r.acker = newXorAcker(r, time.Hour, 3, 2)
 	rig := newSenderRig(t, r, 4<<10)
 
-	// Wedge the writer: three 64 KiB frames overflow both socket buffers,
-	// so the writev blocks mid-take. Wait until the queue was swapped out
-	// (the writer owns the wedge frames) before queueing the real payload.
+	// Wedge the writer: three 64 KiB frames overflow both socket buffers
+	// and the server never reads, so the writer blocks in a writev before
+	// it gets past them. Wait until it holds frames in that writev — it may
+	// have taken only the first, leaving the rest queued — before queueing
+	// the real payload behind the wedge.
 	for i := 0; i < 3; i++ {
 		if err := rig.peer.Send(record(uint32(i), 64<<10)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rig.peer.mu.Lock()
-		empty := len(rig.peer.frames) == 0
-		rig.peer.mu.Unlock()
-		if empty {
-			break
-		}
+	for rig.peer.inflight.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("writer never took the wedge frames")
 		}

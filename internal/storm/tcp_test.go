@@ -480,3 +480,41 @@ func TestDistributedConcurrentDrains(t *testing.T) {
 	rig.edgeReconciles(t, "src", "mid")
 	rig.edgeReconciles(t, "mid", "sink")
 }
+
+// TestDrainAfterProducersExit drains a component whose producers have all
+// exited — its input channels are closed or about to be — while its
+// executor is still busy: the fence has nothing left to overtake, so the
+// drain must return at once instead of sending into a closed channel.
+func TestDrainAfterProducersExit(t *testing.T) {
+	gate := make(chan struct{})
+	b := NewTopologyBuilder("t")
+	b.SetSpout("src", func() Spout { return &seqSpout{n: 3, keys: 1} }, 1, 1)
+	b.SetBolt("sink", func() Bolt {
+		return &funcBolt{exec: func(Tuple, Collector) error { <-gate; return nil }}
+	}, 1, 1).ShuffleGrouping("src")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- rt.Run() }()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.comps["sink"].producers.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("spout never exited")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := rt.DrainComponent("sink", time.Second); err != nil {
+		t.Errorf("drain after producers exited: %v", err)
+	}
+	close(gate)
+	if err := <-runErr; err != nil {
+		t.Fatal(err)
+	}
+}
