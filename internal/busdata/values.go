@@ -1,45 +1,23 @@
 package busdata
 
-import "sync"
+// payloadCap sizes a new payload map for the fields the Figure 8
+// enrichment chain adds to the spout's 11 (speed, actual delay, heading, one
+// area per quadtree layer, the leaf area, the area path and the stop): a
+// map that starts at this size is not rehashed on its way to the engines.
+// 28 is the largest hint that still gets a 32-slot table, and it covers
+// paths of up to 11 layers (trafficd's trees have at most 9); a longer
+// path grows the map once.
+const payloadCap = 28
 
-// Pooled tuple-payload maps for the spout hot path. The BusReader spout
-// historically allocated one map[string]any literal per trace; at city-scale
-// feed rates that allocation (plus the boxed values inside it) dominates the
-// spout's cost. GetValues/PutValues recycle the maps through a sync.Pool
-// under a single-consumer release contract:
-//
-//   - the emitter fills a pooled map with FillValues and emits it;
-//   - ONLY the sole consumer of a single-delivery edge may release it back
-//     with PutValues, after it has copied out everything it needs;
-//   - components whose output fans out (all-grouping, multiple direct
-//     targets) or that retain the map must never release it — an unreleased
-//     map is simply garbage-collected, so skipping a release is always safe
-//     while a double release never is.
-//
-// In the Figure 8 topology the BusReader→PreProcess edge is fields-grouped
-// with exactly one delivery per tuple and PreProcess clones the payload
-// before emitting, so PreProcess is the releasing consumer.
-var valuesPool = sync.Pool{
-	New: func() any { return make(map[string]any, 16) },
-}
-
-// GetValues returns an empty payload map from the pool.
+// GetValues returns a new, empty tuple-payload map sized for the enriched
+// Figure 8 payload. The map is the only one a trace needs: the enrichment
+// bolts write into it and re-emit it, and the engines keep it.
 func GetValues() map[string]any {
-	return valuesPool.Get().(map[string]any)
-}
-
-// PutValues clears m and returns it to the pool. A nil map is ignored.
-func PutValues(m map[string]any) {
-	if m == nil {
-		return
-	}
-	clear(m)
-	valuesPool.Put(m)
+	return make(map[string]any, payloadCap)
 }
 
 // FillValues writes the trace's tuple payload — the exact 11-field schema
-// the BusReader spout emits — into m and returns it. Callers pass a pooled
-// map (GetValues) on the hot path; any map works.
+// the BusReader spout emits — into m and returns it.
 func (tr *Trace) FillValues(m map[string]any) map[string]any {
 	m["ts"] = float64(tr.Timestamp.Unix())
 	m["hour"] = float64(tr.Hour())

@@ -31,21 +31,32 @@ type HistoryRecord struct {
 }
 
 // MarshalLine renders the record as one history CSV line.
-func (h HistoryRecord) MarshalLine() string {
-	cong := "0"
-	if h.Congestion {
-		cong = "1"
+func (h HistoryRecord) MarshalLine() string { return string(h.appendLine(nil)) }
+
+// appendLine appends the record's history CSV line, without a newline, to
+// dst: hour, day, stop, the '|'-joined area path, delay, actual delay and
+// speed in shortest 'g' form, and the congestion flag as 0 or 1.
+func (h HistoryRecord) appendLine(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(h.Hour), 10)
+	dst = append(dst, ',')
+	dst = append(dst, h.Day.String()...)
+	dst = append(dst, ',')
+	dst = append(dst, h.StopID...)
+	dst = append(dst, ',')
+	for i, a := range h.Areas {
+		if i > 0 {
+			dst = append(dst, '|')
+		}
+		dst = append(dst, a...)
 	}
-	return strings.Join([]string{
-		strconv.Itoa(h.Hour),
-		h.Day.String(),
-		h.StopID,
-		strings.Join(h.Areas, "|"),
-		strconv.FormatFloat(h.Delay, 'g', -1, 64),
-		strconv.FormatFloat(h.ActualDelay, 'g', -1, 64),
-		strconv.FormatFloat(h.Speed, 'g', -1, 64),
-		cong,
-	}, ",")
+	for _, f := range [...]float64{h.Delay, h.ActualDelay, h.Speed} {
+		dst = append(dst, ',')
+		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+	}
+	if h.Congestion {
+		return append(dst, ",1"...)
+	}
+	return append(dst, ",0"...)
 }
 
 // ParseHistoryLine parses one history CSV line.
@@ -244,7 +255,7 @@ func parseStatKV(kv mapreduce.KeyValue) (sqlstore.StatRow, error) {
 type DynamicManager struct {
 	FS            *dfs.FS
 	Store         *sqlstore.ThresholdStore
-	HistoryPrefix string // defaults to "history/"
+	HistoryPrefix string // defaults to "history/"; set before the first AppendHistory
 	NumReducers   int
 	// Telemetry, when non-nil, is forwarded to the statistics MapReduce
 	// jobs so batch phase timings land in the same registry as the
@@ -254,6 +265,9 @@ type DynamicManager struct {
 	mu       sync.Mutex
 	installs []*InstalledRule
 	runs     int
+
+	histOnce sync.Once
+	histPath string
 
 	historyRecs atomic.Uint64
 	statRows    atomic.Uint64
@@ -280,30 +294,34 @@ func (m *DynamicManager) Unregister(inst *InstalledRule) {
 	m.mu.Unlock()
 }
 
-// AppendHistory persists one record for the batch layer.
+// AppendHistory persists one record for the batch layer. The line is built
+// in a stack buffer; the file system copies it.
 func (m *DynamicManager) AppendHistory(rec HistoryRecord) error {
-	if err := m.FS.AppendLine(m.historyPath(), rec.MarshalLine()); err != nil {
+	var buf [256]byte
+	if err := m.FS.Append(m.historyPath(), append(rec.appendLine(buf[:0]), '\n')); err != nil {
 		return err
 	}
 	m.historyRecs.Add(1)
 	return nil
 }
 
-func (m *DynamicManager) historyPath() string {
-	prefix := m.HistoryPrefix
-	if prefix == "" {
-		prefix = "history/"
+func (m *DynamicManager) historyPrefix() string {
+	if m.HistoryPrefix == "" {
+		return "history/"
 	}
-	return prefix + "traces"
+	return m.HistoryPrefix
+}
+
+// historyPath is the file AppendHistory writes, fixed at the first append.
+func (m *DynamicManager) historyPath() string {
+	m.histOnce.Do(func() { m.histPath = m.historyPrefix() + "traces" })
+	return m.histPath
 }
 
 // RunOnce executes one batch cycle: statistics job → store upsert → rule
 // refresh. It returns the number of statistic rows produced.
 func (m *DynamicManager) RunOnce() (int, error) {
-	prefix := m.HistoryPrefix
-	if prefix == "" {
-		prefix = "history/"
-	}
+	prefix := m.historyPrefix()
 	inputs := m.FS.List(prefix)
 	if len(inputs) == 0 {
 		return 0, fmt.Errorf("core: no history under %q", prefix)

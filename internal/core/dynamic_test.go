@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"trafficcep/internal/busdata"
@@ -29,6 +31,60 @@ func TestHistoryLineRoundTrip(t *testing.T) {
 	}
 	if back.Delay != 120.5 || back.ActualDelay != -3.25 || back.Speed != 17 || !back.Congestion {
 		t.Fatalf("values = %+v", back)
+	}
+}
+
+// joinHistoryLine is the history line format built field by field with
+// strings.Join and FormatFloat: the reference the appending encoder must
+// match byte for byte.
+func joinHistoryLine(h HistoryRecord) string {
+	cong := "0"
+	if h.Congestion {
+		cong = "1"
+	}
+	return strings.Join([]string{
+		strconv.Itoa(h.Hour),
+		h.Day.String(),
+		h.StopID,
+		strings.Join(h.Areas, "|"),
+		strconv.FormatFloat(h.Delay, 'g', -1, 64),
+		strconv.FormatFloat(h.ActualDelay, 'g', -1, 64),
+		strconv.FormatFloat(h.Speed, 'g', -1, 64),
+		cong,
+	}, ",")
+}
+
+// TestHistoryLinesMatchJoinFormat: on a generated feed, MarshalLine and the
+// file AppendHistory writes are byte-identical to the reference format, and
+// every line parses back to its record.
+func TestHistoryLinesMatchJoinFormat(t *testing.T) {
+	recs := feedHistory(t, 3)
+	m := &DynamicManager{FS: dfs.New(dfs.Options{})}
+	var want strings.Builder
+	for i, rec := range recs {
+		ref := joinHistoryLine(rec)
+		if got := rec.MarshalLine(); got != ref {
+			t.Fatalf("record %d: MarshalLine %q, reference %q", i, got, ref)
+		}
+		back, err := ParseHistoryLine(ref)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(back, rec) {
+			t.Fatalf("record %d: parsed %+v, want %+v", i, back, rec)
+		}
+		if err := m.AppendHistory(rec); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString(ref)
+		want.WriteByte('\n')
+	}
+	got, err := m.FS.Read("history/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Fatalf("AppendHistory wrote %d bytes that differ from the %d reference bytes", len(got), want.Len())
 	}
 }
 

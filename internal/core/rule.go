@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"trafficcep/internal/busdata"
@@ -97,9 +98,13 @@ func (r Rule) LocationField() string {
 	case QuadtreeLeaves:
 		return "leafArea"
 	default:
-		return fmt.Sprintf("layer%dArea", r.Layer)
+		return layerAreaField(r.Layer)
 	}
 }
+
+// layerAreaField is the payload field carrying a trace's region at quadtree
+// layer i, as the AreaTracker sets it.
+func layerAreaField(i int) string { return "layer" + strconv.Itoa(i) + "Area" }
 
 // ThresholdStream is the per-rule Esper stream name carrying this rule's
 // thresholds under the stream-fed retrieval strategy.

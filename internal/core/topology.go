@@ -267,9 +267,8 @@ func (s *busReaderSpout) NextTuple(col storm.Collector) (bool, error) {
 		return false, nil
 	}
 	tr := &s.traces[s.idx]
-	// Pooled payload map: PreProcess — the sole consumer of this edge —
-	// releases it after cloning (see busdata/values.go for the contract),
-	// so the spout hot path allocates no map per trace.
+	// The one payload map of this trace: the enrichment bolts write their
+	// fields into it and it reaches the engines without a copy.
 	vals := tr.FillValues(busdata.GetValues())
 	// With ack tracking on (trafficd -ack.timeout) anchor each trace under
 	// its position in the feed, so lost tuples are replayed at-least-once.
@@ -302,28 +301,24 @@ func (b *preProcessBolt) Prepare(storm.TaskContext) error {
 
 func (b *preProcessBolt) Cleanup() error { return nil }
 
-// OwnsInputValues marks the bolt as taking ownership of its input Values
-// maps (storm.ValuesOwner): Execute releases every input map into the
-// busdata pool below, so the runtime must not also recycle maps it pooled
-// on the wire-decode path — one map must not land in two pools.
-func (b *preProcessBolt) OwnsInputValues() {}
+// MutatesInputValues marks the bolt as writing into its input maps
+// (storm.InputMutator), so the runtime rejects a topology that lets another
+// bolt read them.
+func (b *preProcessBolt) MutatesInputValues() {}
 
+// Execute adds the derived fields to the input map and re-emits that map:
+// this bolt is its only reader (storm.InputMutator), and the ack trackers
+// keep their own copy of a root payload for replay.
 func (b *preProcessBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	tr, err := tupleToTrace(t.Values)
 	if err != nil {
 		return err
 	}
 	e := b.pre.Process(tr)
-	out := cloneValues(t.Values)
-	// The input payload was cloned: release it for spout reuse. PreProcess
-	// is the single consumer of the single-delivery BusReader edge, so it is
-	// the one component allowed to release (busdata/values.go). Replayed
-	// roots are safe — the ack tracker caches its own copy of the payload.
-	busdata.PutValues(t.Values)
-	out["speed"] = e.SpeedKmh
-	out["actualDelay"] = e.ActualDelay
-	out["heading"] = e.Heading
-	col.Emit(out)
+	t.Values["speed"] = e.SpeedKmh
+	t.Values["actualDelay"] = e.ActualDelay
+	t.Values["heading"] = e.Heading
+	col.Emit(t.Values)
 	return nil
 }
 
@@ -352,36 +347,41 @@ func tupleToTrace(v map[string]any) (busdata.Trace, error) {
 	}, nil
 }
 
-func cloneValues(v map[string]any) map[string]any {
-	out := make(map[string]any, len(v)+8)
-	for k, val := range v {
-		out[k] = val
-	}
-	return out
-}
-
 // areaTrackerBolt attaches the quadtree path: the leaf area plus one field
 // per layer ("Each task of this bolt has an instance of the Region Quadtree
 // and queries it to find the areas that the new trace belongs", §4.3.2).
 type areaTrackerBolt struct {
 	tree *quadtree.Tree
+	// layerFields[i] is the payload field of quadtree layer i, so the hot
+	// path formats each name once per task rather than once per trace.
+	layerFields []string
 }
 
-func (b *areaTrackerBolt) Prepare(storm.TaskContext) error { return nil }
-func (b *areaTrackerBolt) Cleanup() error                  { return nil }
+func (b *areaTrackerBolt) Prepare(storm.TaskContext) error {
+	b.layerFields = make([]string, b.tree.MaxDepth()+1)
+	for i := range b.layerFields {
+		b.layerFields[i] = layerAreaField(i)
+	}
+	return nil
+}
+
+func (b *areaTrackerBolt) Cleanup() error { return nil }
+
+// MutatesInputValues implements storm.InputMutator.
+func (b *areaTrackerBolt) MutatesInputValues() {}
 
 func (b *areaTrackerBolt) Execute(t storm.Tuple, col storm.Collector) error {
-	lat, _ := cep.Numeric(t.Values["lat"])
-	lon, _ := cep.Numeric(t.Values["lon"])
+	out := t.Values
+	lat, _ := cep.Numeric(out["lat"])
+	lon, _ := cep.Numeric(out["lon"])
 	path := b.tree.Path(geo.Point{Lat: lat, Lon: lon})
-	out := cloneValues(t.Values)
 	if len(path) > 0 {
 		areas := make([]string, len(path))
 		for i, n := range path {
 			areas[i] = string(n.ID)
-			out[fmt.Sprintf("layer%dArea", i)] = string(n.ID)
+			out[b.layerFields[i]] = areas[i]
 		}
-		out["leafArea"] = string(path[len(path)-1].ID)
+		out["leafArea"] = areas[len(areas)-1]
 		out["areaPath"] = areas
 	}
 	col.Emit(out)
@@ -399,8 +399,11 @@ type busStopsTrackerBolt struct {
 func (b *busStopsTrackerBolt) Prepare(storm.TaskContext) error { return nil }
 func (b *busStopsTrackerBolt) Cleanup() error                  { return nil }
 
+// MutatesInputValues implements storm.InputMutator.
+func (b *busStopsTrackerBolt) MutatesInputValues() {}
+
 func (b *busStopsTrackerBolt) Execute(t storm.Tuple, col storm.Collector) error {
-	out := cloneValues(t.Values)
+	out := t.Values
 	stopID, _ := out["busStop"].(string)
 	if b.stops != nil {
 		lat, _ := cep.Numeric(out["lat"])
@@ -580,17 +583,20 @@ func (b *esperBolt) forwardListener() cep.Listener {
 
 func (b *esperBolt) Cleanup() error { return nil }
 
+// OwnsInputValues implements storm.ValuesOwner: the engine's windows keep
+// the input map as the event's fields, so the runtime must not recycle it.
+func (b *esperBolt) OwnsInputValues() {}
+
+// Execute hands the input map to the engine as is. Engines that share one
+// map fanned out by the Splitter only read it: no bolt after the Splitter
+// writes to a payload.
 func (b *esperBolt) Execute(t storm.Tuple, col storm.Collector) error {
 	b.mu.Lock()
 	b.col = col
 	b.mu.Unlock()
 
-	fields := make(map[string]cep.Value, len(t.Values))
-	for k, v := range t.Values {
-		fields[k] = v
-	}
 	ts, _ := cep.Numeric(t.Values["ts"])
-	return b.engine.SendEventAt(BusStream, time.Unix(int64(ts), 0).UTC(), fields)
+	return b.engine.SendEventAt(BusStream, time.Unix(int64(ts), 0).UTC(), t.Values)
 }
 
 // EnsureEventsTable creates the detections table in db if missing. A nil db

@@ -166,6 +166,10 @@ func (t *Tree) Depth() int {
 	return max
 }
 
+// MaxDepth returns the depth bound the tree was built with: no node, and
+// so no Path, goes deeper.
+func (t *Tree) MaxDepth() int { return t.maxDepth }
+
 // Bounds returns the tree's bounding box.
 func (t *Tree) Bounds() geo.Rect { return t.root.Bounds }
 

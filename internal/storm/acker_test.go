@@ -313,8 +313,9 @@ func TestAckerSlotKeyDensity(t *testing.T) {
 }
 
 // pooledSpout emits anchored tuples whose Values maps come from a shared
-// pool — the pattern (busdata.PutValues) where the consumer releases the
-// map as soon as it has executed the tuple.
+// pool, and the consumer clears and releases each map as soon as it has
+// executed the tuple — the hazard an InputMutator bolt that rewrites its
+// input map poses to a replay snapshot.
 type pooledSpout struct {
 	n, i int
 	pool *sync.Pool

@@ -90,20 +90,6 @@ func (r *Runtime) putBatch(b *Batch) {
 // is dropped to the GC so an imbalance cannot pin memory.
 const valsFreeCap = 2048
 
-// getVals returns one recycled (cleared) payload map, or a fresh one.
-func (r *Runtime) getVals() map[string]any {
-	r.valsMu.Lock()
-	if n := len(r.valsFree); n > 0 {
-		m := r.valsFree[n-1]
-		r.valsFree[n-1] = nil
-		r.valsFree = r.valsFree[:n-1]
-		r.valsMu.Unlock()
-		return m
-	}
-	r.valsMu.Unlock()
-	return make(map[string]any, 8)
-}
-
 // takeVals fills dst with recycled maps under one lock; entries it cannot
 // fill are set nil (callers allocate those lazily).
 func (r *Runtime) takeVals(dst []map[string]any) {

@@ -70,18 +70,29 @@ type Flusher interface {
 	FlushBatches()
 }
 
-// ValuesOwner marks a Bolt that takes ownership of its input tuples'
-// Values maps — typically releasing them into an application-level pool
-// after copying what it needs. On the distributed transport the runtime
-// pools decoded payload maps and normally recycles an input map itself
-// after Execute returns (unless the bolt re-emitted that exact map, in
-// which case ownership rides downstream with the envelope). A bolt that
-// retains or independently releases its input map must implement
-// ValuesOwner so the runtime leaves the map alone — otherwise two owners
-// would recycle the same map into different pools.
+// ValuesOwner marks a Bolt that keeps its input tuples' Values maps past
+// the Execute call — a CEP engine holding them in its windows, say. On the
+// distributed transport the runtime pools decoded payload maps and
+// normally recycles an input map itself after Execute returns (unless the
+// bolt re-emitted that exact map, in which case ownership rides downstream
+// with the envelope). A bolt that retains its input map must implement
+// ValuesOwner so the runtime leaves the map alone: a recycled map would be
+// cleared under the bolt.
 type ValuesOwner interface {
 	// OwnsInputValues is a marker; it is never called.
 	OwnsInputValues()
+}
+
+// InputMutator marks a Bolt that writes into its input tuples' Values maps
+// (typically adding fields and re-emitting the same map) instead of
+// copying them. Such a bolt must be the only reader of every map it
+// receives, so the runtime rejects a topology in which its input stream
+// has another subscriber or reaches it through AllGrouping. Upstream
+// components must hand each map to one task and not touch it after the
+// emit; the ack trackers already snapshot root payloads before delivery.
+type InputMutator interface {
+	// MutatesInputValues is a marker; it is never called.
+	MutatesInputValues()
 }
 
 // TaskContext describes the task an instance is running as.

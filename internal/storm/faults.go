@@ -337,9 +337,9 @@ func (a *ackTracker) begin(rc *runningComponent, ts *taskState, msgID string, t 
 	a.nextID++
 	id := a.nextID
 	t.ack = id
-	// The cached root gets its own payload map: topologies may emit pooled
-	// maps that the consuming bolt releases for reuse (busdata.PutValues),
-	// and the transport batches that carried the original deliveries are
+	// The cached root gets its own payload map: the consuming bolt may
+	// write into the delivered map (InputMutator) or recycle it, and the
+	// transport batches that carried the original deliveries are
 	// themselves pooled — the replay copy must not alias either.
 	root := *t
 	root.Values = copyValues(t.Values)

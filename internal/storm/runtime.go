@@ -176,9 +176,9 @@ type taskState struct {
 	// spout doesn't implement it): the ack trackers check it once per
 	// resolved tuple, which is too hot for a repeated interface assertion.
 	ackSpout AckingSpout
-	// ownsVals caches the ValuesOwner assertion on bolt: such a bolt takes
-	// ownership of its input Values map (releasing it into its own pool),
-	// so the runtime must never recycle a decode-pooled map delivered to it.
+	// ownsVals caches the ValuesOwner assertion on bolt: such a bolt keeps
+	// its input Values map, so the runtime must never recycle a
+	// decode-pooled map delivered to it.
 	ownsVals bool
 
 	executed  atomic.Uint64
@@ -491,6 +491,9 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 			rc.producers.Add(int32(len(src.execs)))
 		}
 	}
+	if err := checkInputMutators(topo, r.comps); err != nil {
+		return nil, err
+	}
 	// Dense per-task shuffle counters, sized to the component's wired
 	// subscriptions (see taskState.shuffle).
 	for _, id := range topo.order {
@@ -548,6 +551,35 @@ func newRuntime(topo *Topology, cfg config) (*Runtime, error) {
 		cfg.Telemetry.Register(r.monitor)
 	}
 	return r, nil
+}
+
+// checkInputMutators enforces InputMutator's sole-reader rule on the wired
+// topology: a bolt that writes into its input maps may not share its input
+// stream with another subscription (another bolt, or itself twice) and may
+// not receive it through AllGrouping, where every task gets the same map.
+func checkInputMutators(topo *Topology, comps map[string]*runningComponent) error {
+	for _, id := range topo.order {
+		rc := comps[id]
+		if rc.spec.isSpout {
+			continue
+		}
+		if _, ok := rc.tasks[0].bolt.(InputMutator); !ok {
+			continue
+		}
+		for _, g := range rc.spec.groupings {
+			if g.Type == AllGrouping {
+				return fmt.Errorf("storm: bolt %q writes into its input tuples and cannot take stream %q of %q by all grouping", id, g.Stream, g.Source)
+			}
+			if subs := comps[g.Source].subs[g.Stream]; len(subs) > 1 {
+				other := subs[0].target.spec.id
+				if other == id {
+					other = subs[1].target.spec.id
+				}
+				return fmt.Errorf("storm: bolt %q writes into its input tuples, but %q also subscribes to stream %q of %q", id, other, g.Stream, g.Source)
+			}
+		}
+	}
+	return nil
 }
 
 // WorkerID returns this process's worker id (0 unless built with

@@ -314,13 +314,11 @@ func appendBatchFrame(buf []byte, destEID int, epoch uint64, envs []envelope) ([
 type frameDecoder struct {
 	r *Runtime
 
-	// Intern table: a tiny ring of recently seen strings, scanned linearly.
-	// The working set is a handful of stream names and tuple keys repeated
-	// across every envelope, so a scan of ≤ internSlots short strings beats
-	// a map probe (no hashing); churny or long strings just rotate through
-	// without displacing cost anywhere else.
-	tab     [internSlots]string
-	tabNext int
+	// intern maps each interned string to itself. It holds the whole
+	// working set of stream names and payload keys (the enriched Figure 8
+	// payload alone has ~25 keys), and stops admitting strings at
+	// internCap so key churn cannot grow it without bound.
+	intern map[string]string
 
 	// vals is a goroutine-local stash of recycled payload maps, refilled
 	// in bulk from the runtime freelist (one lock per 64 maps instead of
@@ -334,37 +332,38 @@ type frameDecoder struct {
 }
 
 // getVals pops one payload map from the decoder's local stash, bulk
-// refilling it from the runtime freelist when empty.
-func (d *frameDecoder) getVals() map[string]any {
-	n := len(d.vals)
-	if n == 0 {
+// refilling it from the runtime freelist when empty; a map allocated fresh
+// is sized for the n fields about to be decoded into it.
+func (d *frameDecoder) getVals(n uint64) map[string]any {
+	k := len(d.vals)
+	if k == 0 {
 		if cap(d.vals) == 0 {
 			d.vals = make([]map[string]any, 64)
 		} else {
 			d.vals = d.vals[:cap(d.vals)]
 		}
 		d.r.takeVals(d.vals)
-		n = len(d.vals)
+		k = len(d.vals)
 	}
-	m := d.vals[n-1]
-	d.vals[n-1] = nil
-	d.vals = d.vals[:n-1]
+	m := d.vals[k-1]
+	d.vals[k-1] = nil
+	d.vals = d.vals[:k-1]
 	if m == nil {
-		m = make(map[string]any, 8)
+		m = make(map[string]any, n)
 	}
 	return m
 }
 
 // Intern-table bounds: strings longer than maxInternLen are assumed
-// unique-ish payload data and skipped; the table holds internSlots entries
-// and evicts round-robin, so adversarial key churn cannot grow it.
+// unique-ish payload data and never interned; once the table holds
+// internCap strings, new ones are materialized without being added.
 const (
 	maxInternLen = 64
-	internSlots  = 8
+	internCap    = 256
 )
 
 // str materializes b as a string, returning the interned copy when one
-// exists. The s == string(b) comparisons compile to alloc-free probes.
+// exists. The d.intern[string(b)] lookup does not allocate.
 func (d *frameDecoder) str(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -372,14 +371,16 @@ func (d *frameDecoder) str(b []byte) string {
 	if len(b) > maxInternLen {
 		return string(b)
 	}
-	for _, s := range d.tab {
-		if s == string(b) {
-			return s
-		}
+	if s, ok := d.intern[string(b)]; ok {
+		return s
 	}
 	s := string(b)
-	d.tab[d.tabNext] = s
-	d.tabNext = (d.tabNext + 1) % internSlots
+	if len(d.intern) < internCap {
+		if d.intern == nil {
+			d.intern = make(map[string]string, 64)
+		}
+		d.intern[s] = s
+	}
 	return s
 }
 
@@ -477,7 +478,7 @@ func (d *frameDecoder) decodeBatchFrame(b []byte) (destEID int, epoch uint64, bt
 			return fail(errShortFrame)
 		}
 		if nvals > 0 {
-			env.tuple.Values = d.getVals()
+			env.tuple.Values = d.getVals(nvals)
 			env.pooled = true
 			for j := uint64(0); j < nvals; j++ {
 				var k string

@@ -3,9 +3,13 @@ package storm
 import (
 	"encoding/binary"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
+	"trafficcep/internal/busdata"
+	"trafficcep/internal/geo"
 	"trafficcep/internal/telemetry"
 )
 
@@ -298,5 +302,133 @@ func BenchmarkWireBatchRoundTrip(b *testing.B) {
 		}
 		rt.recycleBatchVals(bt)
 		rt.putBatch(bt)
+	}
+}
+
+// figure8Payload is the enriched tuple payload of the Figure 8 topology as
+// it crosses the wire between the enrichment bolts and the engines: the
+// BusReader's 11 fields, PreProcess's three, AreaTracker's quadtree path
+// (five layers here) with its leaf, and BusStopsTracker's stop — 22 keys.
+func figure8Payload(i int) map[string]any {
+	tr := busdata.Trace{
+		Timestamp: time.Date(2013, time.January, 2, 8, 30, i%60, 0, time.UTC),
+		LineID:    "L07", Direction: i%2 == 0,
+		Pos:   geo.Point{Lat: 53.35 + float64(i)*1e-4, Lon: -6.26},
+		Delay: float64(i % 300), BusStop: "L07-S03",
+		VehicleID: "V0" + strconv.Itoa(100+i%40),
+	}
+	m := tr.FillValues(busdata.GetValues())
+	m["speed"] = 17.5 + float64(i%7)
+	m["actualDelay"] = float64(i%11) - 5
+	m["heading"] = float64(i % 360)
+	areas := []string{"0", "0.2", "0.2.1", "0.2.1.3", "0.2.1.3." + strconv.Itoa(i%4)}
+	for l, a := range areas {
+		m["layer"+strconv.Itoa(l)+"Area"] = a
+	}
+	m["leafArea"] = areas[len(areas)-1]
+	m["areaPath"] = areas
+	m["stopId"] = "stop" + strconv.Itoa(1000+i%25)
+	return m
+}
+
+// BenchmarkWireBatchRoundTripFigure8 is BenchmarkWireBatchRoundTrip on the
+// real enriched payload: 64 envelopes of 22 fields each, so every frame
+// repeats ~22 distinct keys 64 times and key interning shows in allocs/op.
+func BenchmarkWireBatchRoundTripFigure8(b *testing.B) {
+	rt := wireTestRuntime(b)
+	envs := make([]envelope, 64)
+	for i := range envs {
+		envs[i] = envelope{tuple: Tuple{Stream: "routed", Values: figure8Payload(i)}}
+	}
+	dec := &frameDecoder{r: rt}
+	var frame []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		frame, err = appendBatchFrame(frame[:0], 7, 1, envs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt.recycleBatchVals(bt)
+		rt.putBatch(bt)
+	}
+}
+
+// TestWireDecodeInternsKeys: one decoder materializes each payload key and
+// stream name once, so every envelope's keys share one backing array, and
+// the intern table stops growing at internCap however many distinct keys
+// arrive.
+func TestWireDecodeInternsKeys(t *testing.T) {
+	rt := wireTestRuntime(t)
+	dec := &frameDecoder{r: rt}
+	envs := make([]envelope, 64)
+	for i := range envs {
+		envs[i] = envelope{tuple: Tuple{Stream: "routed", Values: figure8Payload(i)}}
+	}
+	keyData := map[string]*byte{}
+	var streamData *byte
+	for round := 0; round < 2; round++ {
+		frame, err := appendBatchFrame(nil, 0, 0, envs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, env := range bt.envs {
+			if streamData == nil {
+				streamData = unsafe.StringData(env.tuple.Stream)
+			} else if unsafe.StringData(env.tuple.Stream) != streamData {
+				t.Fatalf("stream name %q decoded into fresh memory", env.tuple.Stream)
+			}
+			for k := range env.tuple.Values {
+				p := unsafe.StringData(k)
+				if first, ok := keyData[k]; !ok {
+					keyData[k] = p
+				} else if p != first {
+					t.Fatalf("round %d: key %q decoded into fresh memory", round, k)
+				}
+			}
+		}
+		rt.recycleBatchVals(bt)
+		rt.putBatch(bt)
+	}
+	if len(keyData) != 22 {
+		t.Fatalf("saw %d distinct keys, want 22", len(keyData))
+	}
+
+	// Key churn: 10k distinct keys fill the table to its bound and no
+	// further, and still decode correctly once it is full.
+	churn := make([]envelope, 100)
+	for f := 0; f < 100; f++ {
+		for i := range churn {
+			churn[i] = envelope{tuple: Tuple{Stream: "routed", Values: map[string]any{
+				"k" + strconv.Itoa(f*len(churn)+i): i,
+			}}}
+		}
+		frame, err := appendBatchFrame(nil, 0, 0, churn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, bt, err := dec.decodeBatchFrame(frame[frameHeaderLen+1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, env := range bt.envs {
+			if key := "k" + strconv.Itoa(f*len(churn)+i); env.tuple.Values[key] != i {
+				t.Fatalf("churned key %q decoded as %v", key, env.tuple.Values)
+			}
+		}
+		rt.recycleBatchVals(bt)
+		rt.putBatch(bt)
+	}
+	if n := len(dec.intern); n != internCap {
+		t.Fatalf("intern table holds %d strings after 10k distinct keys, want its bound %d", n, internCap)
 	}
 }
