@@ -93,27 +93,38 @@ func runDifferential(t *testing.T, label string, stmts map[string]string, feed [
 				t.Fatalf("%s: event %d error mismatch: %s=%v %s=%v",
 					label, i, ref.name, errRef, other.name, errOther)
 			}
-			if len(ref.rig.batches) != len(other.rig.batches) {
-				t.Fatalf("%s: event %d: %s emitted %d batches, %s %d",
-					label, i, ref.name, len(ref.rig.batches), other.name, len(other.rig.batches))
-			}
-			for bi := len(ref.rig.batches) - 1; bi >= 0; bi-- {
-				a, b := ref.rig.batches[bi], other.rig.batches[bi]
-				if len(a) != len(b) {
-					t.Fatalf("%s: event %d batch %d: %d vs %d outputs\n %s: %v\n %s: %v",
-						label, i, bi, len(a), len(b), ref.name, a, other.name, b)
-				}
-				for j := range a {
-					if a[j] != b[j] {
-						t.Fatalf("%s: event %d batch %d output %d:\n %s: %s\n %s: %s",
-							label, i, bi, j, ref.name, a[j], other.name, b[j])
-					}
-				}
+			compareBatches(t, fmt.Sprintf("%s: event %d", label, i), ref.name, ref.rig, other.name, other.rig)
+		}
+	}
+	requireOutputs(t, label, ref.rig)
+}
+
+// compareBatches fails unless two rigs have emitted identical batches.
+func compareBatches(t *testing.T, at, nameA string, a *diffRig, nameB string, b *diffRig) {
+	t.Helper()
+	if len(a.batches) != len(b.batches) {
+		t.Fatalf("%s: %s emitted %d batches, %s %d", at, nameA, len(a.batches), nameB, len(b.batches))
+	}
+	for bi := len(a.batches) - 1; bi >= 0; bi-- {
+		x, y := a.batches[bi], b.batches[bi]
+		if len(x) != len(y) {
+			t.Fatalf("%s batch %d: %d vs %d outputs\n %s: %v\n %s: %v",
+				at, bi, len(x), len(y), nameA, x, nameB, y)
+		}
+		for j := range x {
+			if x[j] != y[j] {
+				t.Fatalf("%s batch %d output %d:\n %s: %s\n %s: %s",
+					at, bi, j, nameA, x[j], nameB, y[j])
 			}
 		}
 	}
+}
+
+// requireOutputs fails a scenario whose reference rig never fired.
+func requireOutputs(t *testing.T, label string, rig *diffRig) {
+	t.Helper()
 	total := 0
-	for _, b := range ref.rig.batches {
+	for _, b := range rig.batches {
 		total += len(b)
 	}
 	if total == 0 {
@@ -272,4 +283,150 @@ func TestDifferentialOrderBy(t *testing.T) {
 		}
 		runDifferential(t, fmt.Sprintf("orderby/seed=%d", seed), map[string]string{"r": src}, feed)
 	}
+}
+
+// TestDifferentialKeyFilter checks the per-statement key filter in each of
+// the four evaluation modes: an engine whose statements filter the "loc"
+// field of one stream, fed every event, must emit exactly what an
+// unfiltered engine emits when fed only the admitted events. The key set
+// is replaced mid-feed, so the oracle also pins the swap: every event is
+// judged by the set current when it is sent. Streams other than the
+// filtered one (thresholds, join partners, INSERT INTO targets) always
+// pass.
+func TestDifferentialKeyFilter(t *testing.T) {
+	scenarios := []struct {
+		name     string
+		filtered string // the stream the filter applies to
+		stmts    func(rng *rand.Rand) map[string]string
+		feed     func(rng *rand.Rand) []diffEvent
+	}{
+		{"grouped", "s0",
+			func(rng *rand.Rand) map[string]string {
+				return map[string]string{"r": fmt.Sprintf(
+					"SELECT w.loc AS loc, %s FROM s0.%s AS w GROUP BY w.loc", randAggList(rng), randView(rng))}
+			},
+			func(rng *rand.Rand) []diffEvent { return randFeed(rng, 300, "s0") }},
+		{"join", "s0",
+			func(rng *rand.Rand) map[string]string {
+				return map[string]string{"r": fmt.Sprintf(`SELECT l.loc AS loc, avg(r.a) AS x, count(*) AS c
+					FROM s0.%s AS l, s1.%s AS r WHERE l.loc = r.loc GROUP BY l.loc`, randView(rng), randView(rng))}
+			},
+			func(rng *rand.Rand) []diffEvent { return randFeed(rng, 300, "s0", "s1") }},
+		{"listing1", "bus",
+			func(rng *rand.Rand) map[string]string {
+				return map[string]string{"r": fmt.Sprintf(`SELECT bd2.loc AS loc, avg(bd2.a) AS cur, avg(th.value) AS thr
+					FROM bus.std:lastevent() AS bd UNIDIRECTIONAL,
+					     bus.std:groupwin(loc).win:length(%d) AS bd2,
+					     thr.win:keepall() AS th
+					WHERE bd.hour = th.hour AND bd.day = th.day AND bd.loc = th.location AND bd.loc = bd2.loc
+					GROUP BY bd2.loc
+					HAVING avg(bd2.a) > avg(th.value)`, 1+rng.Intn(5))}
+			},
+			func(rng *rand.Rand) []diffEvent {
+				var feed []diffEvent
+				for i := 0; i < 300; i++ {
+					if i%20 == 0 {
+						feed = append(feed, diffEvent{stream: "thr", fields: map[string]Value{
+							"location": fmt.Sprintf("L%d", rng.Intn(3)), "hour": float64(rng.Intn(3)),
+							"day": "wd", "value": float64(rng.Intn(5)),
+						}})
+					}
+					feed = append(feed, randBusEvent(rng, "bus"))
+				}
+				return feed
+			}},
+		{"cascade", "s0",
+			func(rng *rand.Rand) map[string]string {
+				return map[string]string{
+					"upstream": fmt.Sprintf(`INSERT INTO derived SELECT w.loc AS loc, sum(w.a) AS a
+						FROM s0.%s AS w GROUP BY w.loc`, randView(rng)),
+					"downstream": fmt.Sprintf(`SELECT g.loc AS loc, avg(g.a) AS m
+						FROM derived.%s AS g GROUP BY g.loc`, randView(rng)),
+				}
+			},
+			func(rng *rand.Rand) []diffEvent { return randFeed(rng, 250, "s0") }},
+	}
+	modes := []struct {
+		name string
+		opts []Option
+	}{
+		{"inc+compiled", nil},
+		{"rec+compiled", []Option{WithIncremental(false)}},
+		{"inc+interp", []Option{WithCompiledExprs(false)}},
+		{"rec+interp", []Option{WithIncremental(false), WithCompiledExprs(false)}},
+	}
+	for _, sc := range scenarios {
+		for seed := int64(0); seed < 3; seed++ {
+			for _, mode := range modes {
+				rng := rand.New(rand.NewSource(700 + seed))
+				stmts, feed := sc.stmts(rng), sc.feed(rng)
+				label := fmt.Sprintf("keyfilter/%s/seed=%d/%s", sc.name, seed, mode.name)
+				keySets := []map[string]bool{randKeys(rng), randKeys(rng)}
+
+				filteredRig := newDiffRig(t, stmts, mode.opts...)
+				oracle := newDiffRig(t, stmts, mode.opts...)
+				setKeys := func(keys map[string]bool) {
+					for _, name := range filteredRig.eng.StatementNames() {
+						st, _ := filteredRig.eng.Statement(name)
+						st.SetKeyFilter(sc.filtered, "loc", keys)
+					}
+				}
+				setKeys(keySets[0])
+				keys := keySets[0]
+				var turnedAway uint64
+				for i, ev := range feed {
+					if i == len(feed)/2 {
+						setKeys(keySets[1])
+						keys = keySets[1]
+					}
+					errF := filteredRig.eng.SendEvent(ev.stream, ev.fields)
+					var errO error
+					if ev.stream != sc.filtered || keys[ev.fields["loc"].(string)] {
+						errO = oracle.eng.SendEvent(ev.stream, ev.fields)
+					} else {
+						turnedAway++
+					}
+					if (errF == nil) != (errO == nil) {
+						t.Fatalf("%s: event %d error mismatch: filtered=%v oracle=%v", label, i, errF, errO)
+					}
+					compareBatches(t, fmt.Sprintf("%s: event %d", label, i), "filtered", filteredRig, "oracle", oracle)
+				}
+				requireOutputs(t, label, oracle)
+				var filtered uint64
+				for _, name := range filteredRig.eng.StatementNames() {
+					st, _ := filteredRig.eng.Statement(name)
+					if _, reads := st.itemsByStream[sc.filtered]; reads {
+						filtered = st.Metrics().Filtered
+						ost, _ := oracle.eng.Statement(name)
+						if got, want := st.Metrics().EventsIn, ost.Metrics().EventsIn; got != want {
+							t.Fatalf("%s: %s events_in %d, oracle %d", label, name, got, want)
+						}
+					}
+				}
+				if filtered != turnedAway {
+					t.Fatalf("%s: filtered counter %d, want %d", label, filtered, turnedAway)
+				}
+			}
+		}
+	}
+}
+
+// randFeed draws n bus events spread over the given streams.
+func randFeed(rng *rand.Rand, n int, streams ...string) []diffEvent {
+	feed := make([]diffEvent, n)
+	for i := range feed {
+		feed[i] = randBusEvent(rng, streams[rng.Intn(len(streams))])
+	}
+	return feed
+}
+
+// randKeys draws a non-empty subset of randBusEvent's locations.
+func randKeys(rng *rand.Rand) map[string]bool {
+	keys := map[string]bool{fmt.Sprintf("L%d", rng.Intn(3)): true}
+	for l := 0; l < 3; l++ {
+		if rng.Intn(2) == 0 {
+			keys[fmt.Sprintf("L%d", l)] = true
+		}
+	}
+	return keys
 }

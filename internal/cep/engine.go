@@ -140,8 +140,23 @@ func (e *Engine) AddStatement(name, src string) (*Statement, error) {
 	return e.AddQuery(name, q)
 }
 
+// AddFilteredStatement is AddStatement with a key filter in place before
+// the statement sees its first event (see Statement.SetKeyFilter; a nil
+// keys adds an unfiltered statement).
+func (e *Engine) AddFilteredStatement(name, src, stream, field string, keys map[string]bool) (*Statement, error) {
+	q, err := epl.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.addQuery(name, q, newKeyFilter(stream, field, keys))
+}
+
 // AddQuery registers an already-parsed query.
 func (e *Engine) AddQuery(name string, q *epl.Query) (*Statement, error) {
+	return e.addQuery(name, q, keyFilter{})
+}
+
+func (e *Engine) addQuery(name string, q *epl.Query, filter keyFilter) (*Statement, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, dup := e.stmts[name]; dup {
@@ -151,6 +166,7 @@ func (e *Engine) AddQuery(name string, q *epl.Query) (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.filter = filter
 	e.stmts[name] = st
 	for stream := range st.itemsByStream {
 		e.byStream[stream] = append(e.byStream[stream], st)
@@ -222,11 +238,12 @@ func (e *Engine) SendEvent(stream string, fields map[string]Value) error {
 const maxDerivedEvents = 10000
 
 // SendEventAt delivers an event with an explicit timestamp (event time).
-// All statements subscribed to the stream process the event serially, in
-// statement registration order; events produced by INSERT INTO statements
-// are processed breadth-first afterwards, in the same serial turn. The
-// first evaluation error is returned, but every statement still sees the
-// event.
+// All statements subscribed to the stream whose key filter admits the
+// event (Statement.SetKeyFilter) process it serially, in statement
+// registration order; events produced by INSERT INTO statements are
+// processed breadth-first afterwards, in the same serial turn. The first
+// evaluation error is returned, but every admitting statement still sees
+// the event.
 func (e *Engine) SendEventAt(stream string, ts time.Time, fields map[string]Value) error {
 	// An explicit (possibly historical) event time must not pollute the
 	// latency measurement, so processing start is read separately here.
@@ -246,6 +263,10 @@ func (e *Engine) sendEventAt(stream string, ts, start time.Time, fields map[stri
 		cur := queue[0]
 		queue = queue[1:]
 		for _, st := range e.byStream[cur.Stream] {
+			if !st.filter.admits(cur) {
+				st.metrics.Filtered++
+				continue
+			}
 			err := st.process(cur, func(d *Event) {
 				derived++
 				if derived <= maxDerivedEvents {
@@ -292,6 +313,7 @@ func (e *Engine) Collect(reg *telemetry.Registry) {
 		m := st.metrics
 		sp := prefix + "stmt." + name + "."
 		reg.Counter(sp + "events_in").Store(m.EventsIn)
+		reg.Counter(sp + "filtered").Store(m.Filtered)
 		reg.Counter(sp + "evaluations").Store(m.Evaluations)
 		reg.Counter(sp + "firings").Store(m.Firings)
 		reg.Counter(sp + "errors").Store(m.Errors)

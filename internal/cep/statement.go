@@ -59,14 +59,51 @@ type Statement struct {
 	rowScratch []*Event
 	keyBuf     []byte
 
+	// filter restricts the events the statement sees; guarded by the
+	// engine lock (SetKeyFilter).
+	filter keyFilter
+
 	metrics StatementMetrics
+}
+
+// keyFilter admits an event of stream only when its field holds one of
+// keys; events of every other stream always pass. A nil keys admits
+// everything.
+type keyFilter struct {
+	stream, field string
+	keys          map[string]bool
+}
+
+// newKeyFilter copies keys, so the caller may reuse its set.
+func newKeyFilter(stream, field string, keys map[string]bool) keyFilter {
+	f := keyFilter{stream: stream, field: field}
+	if keys != nil {
+		f.keys = make(map[string]bool, len(keys))
+		for k, ok := range keys {
+			if ok {
+				f.keys[k] = true
+			}
+		}
+	}
+	return f
+}
+
+func (f *keyFilter) admits(ev *Event) bool {
+	if f.keys == nil || ev.Stream != f.stream {
+		return true
+	}
+	k, _ := ev.Fields[f.field].(string)
+	return f.keys[k]
 }
 
 // StatementMetrics counts a statement's work. ProcTime accumulates wall
 // time spent inside process(), sampled only when the engine has a telemetry
 // registry attached (clock reads are skipped otherwise).
 type StatementMetrics struct {
+	// EventsIn counts the events the statement processed; Filtered counts
+	// the events its key filter turned away before any window saw them.
 	EventsIn    uint64
+	Filtered    uint64
 	Evaluations uint64
 	Firings     uint64
 	Errors      uint64
@@ -255,6 +292,21 @@ func bindingPosition(c epl.Expr, aliasToIdx map[string]int, nItems int) (int, er
 // AddListener registers a callback for this statement's firings.
 // Not safe to call concurrently with event delivery.
 func (st *Statement) AddListener(l Listener) { st.listeners = append(st.listeners, l) }
+
+// SetKeyFilter restricts the statement to the events of stream whose
+// field value is one of keys — the locations an engine owns under
+// Algorithm 1's partition. Filtered events never reach a window, so they
+// cost no evaluation and hold no memory. Events of other streams (the
+// threshold streams, INSERT INTO targets) always pass. A nil keys removes
+// the filter. The set is copied, and the swap takes the engine lock, so
+// every event is filtered wholly under the old set or wholly under the
+// new one.
+func (st *Statement) SetKeyFilter(stream, field string, keys map[string]bool) {
+	f := newKeyFilter(stream, field, keys)
+	st.engine.mu.Lock()
+	st.filter = f
+	st.engine.mu.Unlock()
+}
 
 // Metrics returns a copy of the statement's counters.
 func (st *Statement) Metrics() StatementMetrics { return st.metrics }

@@ -64,8 +64,9 @@ type RebalanceReport struct {
 	// InFlightDrained is how many routed tuples were still in flight at
 	// swap time and were waited out before releasing the source engines.
 	InFlightDrained int
-	// ReleasesDeferred counts source-release operations postponed to the
-	// next cycle because the in-flight drain was unavailable or timed out.
+	// ReleasesDeferred counts source-release operations postponed because
+	// the in-flight drain was unavailable or timed out. A later cycle runs
+	// them once its own drain succeeds; Stop runs whatever is left.
 	ReleasesDeferred int
 }
 
@@ -81,9 +82,10 @@ type RebalanceTotals struct {
 // Rebalancer guarantees make-before-break ordering: PrepareTarget for every
 // gaining engine completes before the table swap, and ReleaseSource for the
 // losing engines runs only after the swap (immediately once in-flight
-// tuples drain, otherwise deferred to a later cycle). Stale statements on a
-// source engine are harmless in the interim — no tuples for the moved
-// locations arrive there after the swap.
+// tuples drain, otherwise after a later drain or at Stop). Until the
+// release, a source engine still serves the moved locations: a trace
+// routed there by another location field (its bus stop, say) can fire a
+// moved location's rule on both engines. The release is what stops it.
 type EngineMigrator interface {
 	// PrepareTarget makes task's engine ready to serve the listed
 	// locations of one location field (install statements, load
@@ -121,8 +123,8 @@ type RebalancerConfig struct {
 	Migrator EngineMigrator
 	// InFlight, when set, reports how many routed tuples are currently
 	// between the Splitter and the engines; the Rebalancer polls it after
-	// a swap to drain before releasing source engines. Nil defers source
-	// releases to the next cycle instead.
+	// a swap to drain before releasing source engines. With neither
+	// InFlight nor DrainBarrier, source releases wait for Stop.
 	InFlight func() int
 	// DrainBarrier, when set, replaces the InFlight poll with a positive
 	// drain barrier: it must return only once every tuple routed under the
@@ -326,13 +328,20 @@ func (rb *Rebalancer) LastReport() RebalanceReport {
 	return rb.last
 }
 
-// cycle is one rebalance pass: flush deferred releases, snapshot rates,
+// cycle is one rebalance pass: retry deferred releases, snapshot rates,
 // check skew, and — when triggered or forced — rebuild, migrate and swap.
 func (rb *Rebalancer) cycle(force bool) (RebalanceReport, error) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
 	start := time.Now()
-	rb.flushPendingLocked()
+	if len(rb.pending) > 0 {
+		// A release narrows the source's key filter, so a tuple routed
+		// there under an older table and still queued would go unseen:
+		// release only behind a drain.
+		if _, ok := rb.drainLocked(); ok {
+			rb.flushPendingLocked()
+		}
+	}
 
 	table := rb.handle.Load()
 	rates := make(map[string][]RegionRate, len(rb.fields))
@@ -434,15 +443,24 @@ func (rb *Rebalancer) drainLocked() (int, bool) {
 	return first, true
 }
 
-// flushPendingLocked retries deferred source releases. Called with rb.mu
-// held.
+// flushPendingLocked runs deferred source releases. A location the
+// current table routes to the op's task again (a later swap handed it
+// back) is kept: releasing it would turn away its owner's tuples. Called
+// with rb.mu held.
 func (rb *Rebalancer) flushPendingLocked() {
-	if rb.migrator == nil || len(rb.pending) == 0 {
-		rb.pending = nil
-		return
-	}
-	for _, op := range rb.pending {
-		_ = rb.migrator.ReleaseSource(op.task, op.field, op.locations)
+	if rb.migrator != nil && len(rb.pending) > 0 {
+		routes := rb.handle.Load().routes
+		for _, op := range rb.pending {
+			var locs []string
+			for _, loc := range op.locations {
+				if !containsInt(routes[op.field][loc], op.task) {
+					locs = append(locs, loc)
+				}
+			}
+			if len(locs) > 0 {
+				_ = rb.migrator.ReleaseSource(op.task, op.field, locs)
+			}
+		}
 	}
 	rb.pending = nil
 }
@@ -743,15 +761,20 @@ func (m *RuleMigrator) PrepareTarget(task int, field string, locations []string)
 			grown[l] = true
 		}
 		inst.Options.Locations = grown
+		// Widened after the thresholds are in, and both before the swap.
+		inst.filterKeys()
 	}
 	return nil
 }
 
 // ReleaseSource implements EngineMigrator: shrink the source install's
-// location set; when it empties, remove the statement entirely. Thresholds
-// for removed locations stay in the engine's keepall window until the next
-// batch Refresh — harmless, since no tuples for those locations arrive
-// after the swap.
+// location set and its statements' key filter; when the set empties,
+// remove the statements entirely. Tuples for a released location still
+// arrive when another location field routes them here (a trace's leaf
+// moved, its bus stop did not), so the narrowed filter is what stops the
+// rule firing for it. Thresholds for removed locations stay in the
+// engine's keepall window until the next batch Refresh; with the filter
+// narrowed, no bus event of those locations can join them.
 func (m *RuleMigrator) ReleaseSource(task int, field string, locations []string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -779,6 +802,7 @@ func (m *RuleMigrator) ReleaseSource(task int, field string, locations []string)
 			continue
 		}
 		inst.Options.Locations = remaining
+		inst.filterKeys()
 	}
 	return nil
 }

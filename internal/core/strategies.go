@@ -61,6 +61,8 @@ type InstallOptions struct {
 	StaticThreshold float64
 	// Locations restricts the rule to a subset of locations (the
 	// engine's Algorithm 1 share); nil means all locations in the store.
+	// Under every strategy, the rule's statements then see only the bus
+	// events of these locations (a key filter on Rule.LocationField).
 	Locations map[string]bool
 	// Listener receives the rule's firings.
 	Listener cep.Listener
@@ -108,7 +110,7 @@ func InstallRule(eng *cep.Engine, r Rule, opts InstallOptions) (*InstalledRule, 
 func (inst *InstalledRule) install() error {
 	eng, r, opts := inst.engine, inst.Rule, inst.Options
 	add := func(name, epl string) error {
-		st, err := eng.AddStatement(name, epl)
+		st, err := eng.AddFilteredStatement(name, epl, BusStream, r.LocationField(), opts.Locations)
 		if err != nil {
 			return err
 		}
@@ -220,6 +222,17 @@ func registerDBThreshold(eng *cep.Engine, store *sqlstore.ThresholdStore) {
 		}
 		return v, nil
 	})
+}
+
+// filterKeys points the key filter of every statement of the rule at its
+// current location set. The migrator calls it whenever it changes
+// Options.Locations.
+func (inst *InstalledRule) filterKeys() {
+	for _, name := range inst.Statements {
+		if st, ok := inst.engine.Statement(name); ok {
+			st.SetKeyFilter(BusStream, inst.Rule.LocationField(), inst.Options.Locations)
+		}
+	}
 }
 
 // Refresh re-installs the rule with freshly retrieved thresholds — the

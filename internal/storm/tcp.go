@@ -375,9 +375,12 @@ type tcpTransport struct {
 	ackWorkerMask uint64
 
 	// ready is closed once the peers slice is fully built; inbound readers
-	// park on it before dispatching their first frame, so early-connecting
-	// peers never observe a half-constructed membership.
-	ready  chan struct{}
+	// park on it before dispatching their first frame after the hello, so
+	// early-connecting peers never observe a half-constructed membership.
+	ready chan struct{}
+	// hellos receives one token per inbound hello; every peer dials this
+	// worker exactly once, so start-up waits for len(peers)-1 of them.
+	hellos chan struct{}
 	stopCh chan struct{}
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -386,7 +389,9 @@ type tcpTransport struct {
 // newTCPTransport brings up this worker's data plane: listen, dial every
 // peer, exchange hellos, and start the heartbeat. It returns only once all
 // outbound links are up, so executors never observe a half-connected
-// membership.
+// membership, and once every peer's hello has arrived: a worker whose
+// share of the topology finishes at once must not close its listener
+// before a slower peer has joined it.
 func newTCPTransport(r *Runtime) (*tcpTransport, error) {
 	t := &tcpTransport{
 		r: r, self: r.cfg.selfWorker, hb: r.cfg.heartbeat,
@@ -395,6 +400,7 @@ func newTCPTransport(r *Runtime) (*tcpTransport, error) {
 		fences:    make(map[string]*fenceWait),
 		rpcWait:   make(map[uint64]chan rpcResult),
 		ready:     make(chan struct{}),
+		hellos:    make(chan struct{}, len(r.cfg.peers)),
 		stopCh:    make(chan struct{}),
 	}
 	if n := len(r.cfg.peers); n > 1 {
@@ -442,7 +448,27 @@ func newTCPTransport(r *Runtime) (*tcpTransport, error) {
 	close(t.ready)
 	t.wg.Add(1)
 	go t.heartbeatLoop()
+	if err := t.awaitPeers(deadline); err != nil {
+		t.Close()
+		return nil, err
+	}
 	return t, nil
+}
+
+// awaitPeers is the start barrier: it waits until every peer's hello has
+// arrived on an inbound connection. The heartbeat already runs, so peers
+// that joined early do not time this worker out meanwhile.
+func (t *tcpTransport) awaitPeers(deadline time.Time) error {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	for missing := len(t.peers) - 1; missing > 0; missing-- {
+		select {
+		case <-t.hellos:
+		case <-timer.C:
+			return fmt.Errorf("storm: worker %d: %d peers did not join within the dial timeout", t.self, missing)
+		}
+	}
+	return nil
 }
 
 func (t *tcpTransport) dial(addr string, deadline time.Time) (net.Conn, error) {
@@ -587,11 +613,6 @@ func (t *tcpTransport) heartbeatLoop() {
 func (t *tcpTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
-	select {
-	case <-t.ready: // membership built; safe to dispatch
-	case <-t.stopCh:
-		return
-	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	dec := &frameDecoder{r: t.r}
 	var header [frameHeaderLen]byte
@@ -647,6 +668,12 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 				return // not a peer of ours
 			}
 			peer = int(w)
+			t.hellos <- struct{}{} // sized for one hello per peer: never blocks
+			select {
+			case <-t.ready: // membership built; safe to dispatch
+			case <-t.stopCh:
+				return
+			}
 			continue
 		}
 		err := t.dispatch(peer, typ, body, dec)

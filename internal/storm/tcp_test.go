@@ -518,3 +518,24 @@ func TestDrainAfterProducersExit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDistributedFourWorkersStartBarrier runs a tiny Figure-8 feed over
+// four loopback workers, many times over. A worker whose share of the
+// topology is done early closes its listener and its connections; start-up
+// must not let it run before every peer has joined it, or a slower peer's
+// dial is refused, or that peer falls silent while it retries and a third
+// worker declares it lost. Start-up therefore waits for every peer's hello
+// as well as for its own outbound dials.
+func TestDistributedFourWorkersStartBarrier(t *testing.T) {
+	esper := func() Bolt { return &passBolt{} }
+	sink := func() Bolt { return &funcBolt{exec: func(Tuple, Collector) error { return nil }} }
+	for i := 0; i < 200; i++ {
+		rig := newDistRig(t, 4, func(int) *TopologyBuilder { return figure8(20, esper, sink) })
+		rig.run(t, 30*time.Second)
+		for w, err := range rig.errs {
+			if err != nil {
+				t.Fatalf("run %d: worker %d: %v", i, w, err)
+			}
+		}
+	}
+}

@@ -20,9 +20,11 @@ out="BENCH_cep.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
+# Output goes to a file, not through tee: sh has no pipefail.
 go test -run '^$' \
 	-bench 'BenchmarkListing1_RuleEvaluation|BenchmarkAblationJoinStrategy|BenchmarkAblationExprCompilation' \
-	-benchtime "$benchtime" -count "$count" . | tee "$raw"
+	-benchtime "$benchtime" -count "$count" . >"$raw" || { cat "$raw"; exit 1; }
+cat "$raw"
 
 # Each series records its best-of-count ns/op: the minimum filters
 # scheduler noise on a shared box.

@@ -23,13 +23,17 @@ rawwire="$(mktemp)"
 section="$(mktemp)"
 trap 'rm -f "$raw" "$rawwire" "$section"' EXIT
 
+# Output goes to a file, not through tee: sh has no pipefail.
 go test -run '^$' \
 	-bench 'BenchmarkDistributedThroughput' \
-	-benchtime "$benchtime" . | tee "$raw"
+	-benchtime "$benchtime" . >"$raw" || { cat "$raw"; exit 1; }
+cat "$raw"
 
+# Anchored: the unanchored name also matches ...RoundTripFigure8.
 go test -run '^$' \
-	-bench 'BenchmarkWireBatchRoundTrip' \
-	-benchmem -benchtime 20000x ./internal/storm | tee "$rawwire"
+	-bench 'BenchmarkWireBatchRoundTrip$' \
+	-benchmem -benchtime 20000x ./internal/storm >"$rawwire" || { cat "$rawwire"; exit 1; }
+cat "$rawwire"
 
 awk -v benchtime="$benchtime" '
 	BEGIN { n = 0 }
@@ -53,8 +57,8 @@ awk -v benchtime="$benchtime" '
 	}
 ' "$raw" > "$section"
 
-wire_ns="$(awk '/^BenchmarkWireBatchRoundTrip/ && $4 == "ns/op" { print $3 + 0 }' "$rawwire")"
-wire_allocs="$(awk '/^BenchmarkWireBatchRoundTrip/ && $8 == "allocs/op" { print $7 + 0 }' "$rawwire")"
+wire_ns="$(awk '/^BenchmarkWireBatchRoundTrip-/ && $4 == "ns/op" { print $3 + 0 }' "$rawwire")"
+wire_allocs="$(awk '/^BenchmarkWireBatchRoundTrip-/ && $8 == "allocs/op" { print $7 + 0 }' "$rawwire")"
 if [ -z "$wire_ns" ] || [ -z "$wire_allocs" ]; then
 	echo "bench_distributed.sh: no wire benchmark lines parsed" >&2
 	exit 1

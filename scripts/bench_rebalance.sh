@@ -12,7 +12,9 @@ out="BENCH_rebalance.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go run ./cmd/experiments -exp rebalance | tee "$raw"
+# Output goes to a file, not through tee: sh has no pipefail.
+go run ./cmd/experiments -exp rebalance >"$raw" || { cat "$raw"; exit 1; }
+cat "$raw"
 
 awk '
 	/^threshold=/       { threshold = substr($0, index($0, "=") + 1) }

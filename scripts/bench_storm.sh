@@ -23,9 +23,11 @@ out="BENCH_storm.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
+# Output goes to a file, not through tee: sh has no pipefail.
 go test -run '^$' \
 	-bench 'BenchmarkStormThroughput' \
-	-benchtime "$benchtime" -count "$count" . | tee "$raw"
+	-benchtime "$benchtime" -count "$count" . >"$raw" || { cat "$raw"; exit 1; }
+cat "$raw"
 
 # Each configuration records its best-of-count ns/op: the minimum filters
 # scheduler noise on a shared box, which single 300000x shots are very
